@@ -1,6 +1,7 @@
 #include "rt/conv_pattern.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -142,6 +143,28 @@ PatternConv::PatternConv(ConvDesc desc, const FkwLayer* fkw, LayerwiseRep lr,
     PATDNN_CHECK_EQ(fkw_->in_channels, desc_.cin, "fkw channels");
     PATDNN_CHECK_EQ(fkw_->filters, desc_.cout, "fkw filters");
     plan_ = preparePatternPlan(*fkw_, lr_, device_);
+
+    // The output-stationary path needs unit stride (so every tap is a
+    // fixed offset on the padded-width grid), the tight format (pattern
+    // runs encoded by the stride array) and uniform kernel sizes; the
+    // No-opt and +Reorder ablation levels keep their own code shapes.
+    const int64_t hp = desc_.h + 2 * desc_.pad, wp = desc_.w + 2 * desc_.pad;
+    const int64_t plane = hp * wp;
+    bool uniform = true;
+    for (const PatternKernel& pk : plan_.lowered)
+        uniform = uniform && pk.entries == fkw_->entries;
+    direct_ = desc_.stride == 1 && desc_.dilation == 1 &&
+              fkw_->kernel_pattern.empty() && lr_.opts.reorder &&
+              lr_.opts.lre && uniform &&
+              desc_.cin * plane <= std::numeric_limits<int32_t>::max();
+    if (!direct_)
+        return;
+    chan_off_.reserve(fkw_->index.size());
+    for (int32_t ic : fkw_->index)
+        chan_off_.push_back(static_cast<int32_t>(ic * plane));
+    for (const PatternKernel& pk : plan_.lowered)
+        for (int e = 0; e < pk.entries; ++e)
+            taps_.push_back(static_cast<int32_t>(pk.dy[e] * wp + pk.dx[e]));
 }
 
 void
@@ -260,8 +283,90 @@ PatternConv::runItem(const WorkItem& item, const float* in, float* out,
 }
 
 void
+PatternConv::runDirect(const Tensor& in, Tensor& out, const Epilogue& ep) const
+{
+    const ConvDesc& d = desc_;
+    const FkwLayer& fkw = *fkw_;
+    const int64_t n = in.shape().dim(0);
+    const int64_t oh = d.outH(), ow = d.outW();
+    const int64_t wp = d.w + 2 * d.pad;
+    const int64_t plane = (d.h + 2 * d.pad) * wp;
+    const int64_t image = d.cin * plane;
+
+    // Pad once, serially (a few microseconds even at conv1_2), into a
+    // per-call scratch: run() is const and may race across sessions.
+    // The zero fill is the pad ring, and the slack past the last plane
+    // keeps the junk lanes' whole-vector loads inside the allocation.
+    Tensor padded(Shape{n * image + ops_->pattern_lanes});
+    for (int64_t c = 0; c < n * d.cin; ++c) {
+        const float* src = in.data() + c * d.h * d.w;
+        float* dst = padded.data() + c * plane + d.pad * wp + d.pad;
+        for (int64_t y = 0; y < d.h; ++y)
+            std::copy(src + y * d.w, src + (y + 1) * d.w, dst + y * wp);
+    }
+
+    // Output pixel (y, x) is lane q = y * wp + x; the grid ends at the
+    // last valid pixel, and the x >= ow lanes in between are junk.
+    const int64_t grid = (oh - 1) * wp + ow;
+    const int64_t tile = ops_->pattern_lanes;
+    const int npat = static_cast<int>(fkw.patterns.size());
+    auto run_filter = [&](int64_t b, int64_t f) {
+        const int32_t kb = fkw.offset[static_cast<size_t>(f)];
+        const int32_t oc = fkw.reorder[static_cast<size_t>(f)];
+        PatternTile t;
+        t.in = padded.data() + b * image;
+        t.w = fkw.weights.data() + static_cast<int64_t>(kb) * fkw.entries;
+        t.chan = chan_off_.data() + kb;
+        t.stride = fkw.stride.data() + f * (npat + 1);
+        t.taps = taps_.data();
+        t.patterns = npat;
+        t.entries = fkw.entries;
+        t.bias = ep.bias ? (*ep.bias)[oc] : 0.0f;
+        t.relu = ep.relu;
+        t.out = out.data() + (b * d.cout + oc) * oh * ow;
+        t.wp = wp;
+        t.ow = ow;
+        for (int64_t q0 = 0; q0 < grid; q0 += tile) {
+            t.q0 = q0;
+            t.lanes = std::min(tile, grid - q0);
+            ops_->pattern_tile(t);
+        }
+    };
+
+    // One fork-join over every (image, filter) unit, split by cost: a
+    // filter costs its kernel count plus one for its stores. FKR sorts
+    // filters by kernel count, so equal-count chunks would be unequal.
+    const int64_t filters = d.cout;
+    const int64_t per_image = fkw.kernelCount() + filters;
+    const int64_t total = n * per_image;
+    auto unit_at = [&](int64_t cost) {
+        // First unit whose cost prefix reaches `cost`.
+        const int64_t b = cost / per_image, rem = cost % per_image;
+        int64_t lo = 0, hi = filters;
+        while (lo < hi) {
+            int64_t mid = (lo + hi) / 2;
+            if (fkw.offset[static_cast<size_t>(mid)] + mid < rem)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        return b * filters + lo;
+    };
+    const int64_t workers = device_.pool().numThreads();
+    device_.pool().parallelChunks(workers, [&](int64_t w0, int64_t w1) {
+        const int64_t u1 = unit_at(total * w1 / workers);
+        for (int64_t u = unit_at(total * w0 / workers); u < u1; ++u)
+            run_filter(u / filters, u % filters);
+    });
+}
+
+void
 PatternConv::run(const Tensor& in, Tensor& out, const Epilogue& ep) const
 {
+    if (direct_) {
+        runDirect(in, out, ep);
+        return;
+    }
     const ConvDesc& d = desc_;
     int64_t n = in.shape().dim(0);
     int64_t oh = d.outH(), ow = d.outW();

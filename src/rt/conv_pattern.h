@@ -3,11 +3,15 @@
  * The PatDNN pattern-based sparse convolution engine (Section 5).
  *
  * Consumes FKW-stored weights plus an LR and executes the branch-free
- * code structure of Fig. 7: filters are visited in FKR order, each
- * filter's kernels are processed one pattern segment at a time through
- * pattern-specialized micro-kernels, with register-level LRE and
- * tuning-decided tiling/permutation. The ablation switches reproduce
- * the paper's No-opt / +Reorder / +LRE / +Tune progression (Fig. 13).
+ * code structure of Fig. 7. The default path (stride 1, tight FKW,
+ * reorder + LRE) is output-stationary: the input is zero-padded once
+ * per run, output pixels are flattened over the padded-width grid, and
+ * for every (filter, lane tile) SimdOps::pattern_tile walks all of the
+ * filter's kernels with register-resident accumulators and stores each
+ * output once, bias and ReLU included. Strided layers, the loose format
+ * and the No-opt / +Reorder ablation levels keep the per-(channel,
+ * pattern) micro-kernel path with tuning-decided tiling/permutation,
+ * which reproduces the paper's Fig. 13 progression.
  */
 #pragma once
 
@@ -73,6 +77,8 @@ class PatternConv
     void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const;
 
     const PatternPlan& plan() const { return plan_; }
+    /** True when run() takes the output-stationary path. */
+    bool usesDirectPath() const { return direct_; }
     const LayerwiseRep& lr() const { return lr_; }
 
     /** Kernel table this executor dispatches to (device ISA, resolved). */
@@ -81,6 +87,8 @@ class PatternConv
   private:
     void runItem(const WorkItem& item, const float* in, float* out,
                  int64_t b) const;
+    /** The output-stationary default path (direct_). */
+    void runDirect(const Tensor& in, Tensor& out, const Epilogue& ep) const;
 
     ConvDesc desc_;
     const FkwLayer* fkw_;
@@ -88,6 +96,12 @@ class PatternConv
     DeviceSpec device_;
     PatternPlan plan_;
     const SimdOps* ops_;  ///< Resolved once from device_.simd_isa.
+    bool direct_ = false;  ///< Run the output-stationary path.
+    /// Direct path: per FKW kernel, the offset of its input channel's
+    /// plane in the padded image.
+    std::vector<int32_t> chan_off_;
+    /// Direct path: per pattern, `entries` tap offsets dy * wp + dx.
+    std::vector<int32_t> taps_;
 };
 
 }  // namespace patdnn

@@ -44,6 +44,14 @@ isSparseKind(FrameworkKind kind)
     return kind == FrameworkKind::kCsrSparse || kind == FrameworkKind::kPatDnn;
 }
 
+/** Patterns are 3x3 (projectPattern), so only 3x3 kernels get FKW;
+ * other kernel sizes of a kPatDnn model are connectivity-pruned only. */
+bool
+hasPatternKernels(const ConvDesc& conv)
+{
+    return conv.kh == 3 && conv.kw == 3;
+}
+
 /** Conv layers the kInt8 knob applies to: ungrouped dense-GEMM layers
  * of the packed-backend kinds. Pattern/CSR storage and grouped convs
  * (naive engine) stay f32 — the precision knob targets the dense GEMM
@@ -97,7 +105,7 @@ CompiledConvLayer::CompiledConvLayer(const ConvDesc& desc, FrameworkKind kind,
         }
         PatternAssignment asg =
             pruneWeightsForCompile(weight_, set, opts_, /*first_layer=*/false);
-        if (kind_ == FrameworkKind::kPatDnn) {
+        if (kind_ == FrameworkKind::kPatDnn && hasPatternKernels(desc_)) {
             FkrOptions fkr_opts;
             fkr_opts.reorder_filters = opts_.opts.reorder;
             fkr_opts.similarity_within_group = opts_.opts.reorder;
@@ -353,7 +361,10 @@ CompiledModel::attachConvEngines(Executor& ex) const
             std::make_unique<PatternConv>(ex.conv, ex.fkw.get(), lr, device_);
         return;
     }
-    if (kind_ == FrameworkKind::kCsrSparse && ex.conv.groups == 1) {
+    // Sparse kinds run every other ungrouped conv on its pruned weights
+    // through CSR (for kPatDnn: the non-3x3 kernels, which patterns
+    // leave to connectivity pruning alone).
+    if (isSparseKind(kind_) && ex.conv.groups == 1) {
         ex.csr = std::make_unique<CsrConv>(ex.conv, buildCsr(ex.weight), device_);
         return;
     }
@@ -493,7 +504,8 @@ CompiledModel::CompiledModel(const Model& model, FrameworkKind kind, DeviceSpec 
             if (can_sparse) {
                 PatternAssignment asg = pruneWeightsForCompile(
                     ex->weight, set, opts, first_conv);
-                if (kind_ == FrameworkKind::kPatDnn) {
+                if (kind_ == FrameworkKind::kPatDnn &&
+                    hasPatternKernels(n.conv)) {
                     FkrOptions fkr_opts;
                     fkr_opts.reorder_filters = opts.opts.reorder;
                     fkr_opts.similarity_within_group = opts.opts.reorder;

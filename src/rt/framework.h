@@ -12,7 +12,9 @@
  *  - kMnnLike:    dense Winograd + hand-tuned tiling;
  *  - kPatDnnDense: our optimized dense baseline (Fig. 17a);
  *  - kCsrSparse:  pruned weights in CSR, conventional sparse execution;
- *  - kPatDnn:     the full pattern engine (FKR + FKW + LRE + tuning).
+ *  - kPatDnn:     the full pattern engine (FKR + FKW + LRE + tuning)
+ *                 for 3x3 convs; other ungrouped convs, which patterns
+ *                 do not cover, run connectivity-pruned through CSR.
  *
  * Relative orderings between these engines — not absolute ms — are the
  * reproduction target (see docs/ARCHITECTURE.md, "Substitutions").
@@ -127,7 +129,7 @@ struct CompileOptions
  * CompiledModel::exportState() and consumed by the state-restoring
  * constructor and the serve/ model-artifact (de)serializer.
  *
- * For kPatDnn conv layers only the FKW storage plus tuned parameters
+ * For kPatDnn 3x3 conv layers only the FKW storage plus tuned parameters
  * are carried (the dense weight view is reconstructed on restore); all
  * other layers carry their dense tensors.
  */
@@ -142,7 +144,7 @@ struct CompiledLayerState
     int64_t in_features = 0, out_features = 0;
     Tensor weight;                 ///< Dense weights (empty for pattern convs).
     Tensor bias;
-    std::unique_ptr<FkwLayer> fkw; ///< Pattern-engine storage (kPatDnn convs).
+    std::unique_ptr<FkwLayer> fkw; ///< Pattern-engine storage (kPatDnn 3x3 convs).
     TuneParams tuning;             ///< Pattern-engine tuned parameters.
     OptSwitches opts;              ///< Pattern-engine switches.
     /// Int8 quantization record (conv layers compiled at kInt8). The

@@ -5,12 +5,12 @@
  * PatDNN's generated mobile code leans on the vector units (NEON on the
  * paper's Snapdragon/Kirin targets); this layer is the host-side
  * equivalent. Each ISA provides one table of vectorized primitives
- * (SimdOps) for the hot inner loops — the LRE interior accumulation,
- * the filter-level multi-filter fan-out, the CSR row saxpy, the ReLU
- * epilogue and the packed-GEMM tile kernel the dense im2col/Winograd
- * executors run on — and one binary selects the best table at load
- * time from CPU features (AVX2 on x86-64, NEON on aarch64, scalar
- * otherwise).
+ * (SimdOps) for the hot inner loops — the output-stationary pattern
+ * tile, the LRE interior accumulation, the filter-level multi-filter
+ * fan-out, the CSR row saxpy, the ReLU epilogue and the packed-GEMM
+ * tile kernel the dense im2col/Winograd executors run on — and one
+ * binary selects the best table at load time from CPU features (AVX2
+ * on x86-64, NEON on aarch64, scalar otherwise).
  *
  * Determinism contract: every table computes bit-identical results to
  * scalarSimdOps() — same per-element operation order, plain IEEE mul
@@ -45,6 +45,36 @@ const char* isaName(SimdIsa isa);
 
 /** Parse an ISA name; false if `s` names no known ISA. */
 bool parseIsaName(const std::string& s, SimdIsa* out);
+
+/**
+ * One call of SimdOps::pattern_tile: one filter's outputs at `lanes`
+ * consecutive pixels of the padded-width grid (q = y * wp + x, the
+ * output pixel (y, x) for x < ow; lanes with x >= ow are junk).
+ *
+ * The input is the zero-padded image ([cin][hp][wp] planes), so the
+ * tap of kernel k, entry e at lane i is the unguarded load
+ *   in[chan[k] + q0 + i + taps[p * entries + e]]
+ * with p the kernel's pattern and taps[...] = dy * wp + dx. Kernels
+ * are walked in FKW storage order: pattern p's kernels are
+ * [stride[p], stride[p + 1]) of the filter's `chan` / `w` arrays.
+ */
+struct PatternTile
+{
+    const float* in = nullptr;       ///< Padded image (plane 0, q = 0).
+    const float* w = nullptr;        ///< Filter weights, `entries` per kernel.
+    const int32_t* chan = nullptr;   ///< Per kernel: its channel's plane offset.
+    const int32_t* stride = nullptr; ///< FKW stride row (patterns + 1 entries).
+    const int32_t* taps = nullptr;   ///< [patterns][entries] tap offsets.
+    int patterns = 0;
+    int entries = 0;
+    float bias = 0.0f;
+    bool relu = false;
+    float* out = nullptr;  ///< Output plane [oh][ow] of this filter.
+    int64_t q0 = 0;        ///< First lane on the padded-width grid.
+    int64_t lanes = 0;     ///< Lanes in this tile, 1..pattern_lanes.
+    int64_t wp = 0;        ///< Padded input width.
+    int64_t ow = 0;        ///< Output width (lanes with x >= ow are dropped).
+};
 
 /**
  * One ISA's vectorized primitives. All functions tolerate unaligned
@@ -156,6 +186,26 @@ struct SimdOps
      */
     void (*quantize_row_i8)(const float* x, int64_t n, float inv_scale,
                             int8_t* out);
+
+    /// Largest PatternTile::lanes pattern_tile accepts (a few vectors).
+    int pattern_lanes = 1;
+
+    /**
+     * Output-stationary pattern tile (the Fig. 7 code shape, see
+     * PatternTile): the accumulators stay in registers across all of
+     * the filter's kernels, then ReLU (if asked) runs on them and each
+     * valid lane is stored exactly once; junk lanes are never stored.
+     * A table may compute whole vectors, so the padded input must be
+     * readable `width` floats past the last valid lane's taps.
+     *
+     * Numerics: for every lane the chain is
+     *   acc = bias; for p, for k in p's kernels, for e in [0, entries):
+     *     acc += w[k * entries + e] * tap;
+     *   out = relu ? max(0, acc) : acc;
+     * — mul then add, no FMA — so the result is bit-identical across
+     * ISAs, lane-tile widths and the caller's thread split.
+     */
+    void (*pattern_tile)(const PatternTile& t);
 };
 
 /** The portable reference table; always available. */

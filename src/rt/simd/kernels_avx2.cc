@@ -16,6 +16,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstring>
 
 namespace patdnn {
@@ -295,6 +296,94 @@ quantizeRowI8Avx2(const float* x, int64_t n, float inv_scale, int8_t* out)
     }
 }
 
+// Pattern tile: up to four ymm accumulators (32 lanes) stay live across
+// the filter's whole kernel walk, plus one weight broadcast; the taps
+// fold into the multiplies as memory operands.
+constexpr int kPatternLanesAvx2 = 32;
+
+// Store `live` lanes of v starting at grid lane q: one vector store
+// when they are all valid pixels of one output row, else lane by lane,
+// dropping the lanes that fall in the pad columns (x >= ow).
+inline void
+storeLanesAvx2(const PatternTile& t, __m256 v, int64_t q, int64_t live)
+{
+    int64_t x = q % t.wp;
+    float* row = t.out + q / t.wp * t.ow;
+    if (live == 8 && x + 8 <= t.ow) {
+        _mm256_storeu_ps(row + x, v);
+        return;
+    }
+    float lane[8];
+    _mm256_storeu_ps(lane, v);
+    for (int64_t i = 0; i < live; ++i) {
+        if (x < t.ow)
+            row[x] = lane[i];
+        if (++x == t.wp) {
+            x = 0;
+            row += t.ow;
+        }
+    }
+}
+
+// NE > 0 fixes the entry count at compile time (the common 4-entry
+// patterns unroll fully, taps held in registers); NE == 0 reads it.
+template <int NV, int NE>
+void
+patternTileAvx2Impl(const PatternTile& t)
+{
+    __m256 acc[NV];
+    for (int v = 0; v < NV; ++v)
+        acc[v] = _mm256_set1_ps(t.bias);
+    const int ne = NE > 0 ? NE : t.entries;
+    for (int p = 0; p < t.patterns; ++p) {
+        const int32_t* taps = t.taps + p * ne;
+        for (int32_t k = t.stride[p]; k < t.stride[p + 1]; ++k) {
+            const float* src = t.in + t.chan[k] + t.q0;
+            const float* wk = t.w + static_cast<int64_t>(k) * ne;
+            for (int e = 0; e < ne; ++e) {
+                const float* s = src + taps[e];
+                const __m256 wv = _mm256_set1_ps(wk[e]);
+                for (int v = 0; v < NV; ++v)
+                    acc[v] = _mm256_add_ps(
+                        acc[v], _mm256_mul_ps(wv, _mm256_loadu_ps(s + 8 * v)));
+            }
+        }
+    }
+    if (t.relu) {
+        // (acc, zero) operand order: NaN and -0.0 lanes become +0.0,
+        // exactly like std::max(0.0f, acc).
+        const __m256 zero = _mm256_setzero_ps();
+        for (int v = 0; v < NV; ++v)
+            acc[v] = _mm256_max_ps(acc[v], zero);
+    }
+    for (int v = 0; v < NV; ++v)
+        storeLanesAvx2(t, acc[v], t.q0 + 8 * v,
+                       std::min<int64_t>(8, t.lanes - 8 * v));
+}
+
+template <int NE>
+void
+patternTileAvx2Entries(const PatternTile& t)
+{
+    // Only as many vectors as the tile has lanes: a 2x2 plane's six
+    // lanes cost one vector, not a full 32-lane tile.
+    switch ((t.lanes + 7) / 8) {
+      case 1: patternTileAvx2Impl<1, NE>(t); break;
+      case 2: patternTileAvx2Impl<2, NE>(t); break;
+      case 3: patternTileAvx2Impl<3, NE>(t); break;
+      default: patternTileAvx2Impl<4, NE>(t); break;
+    }
+}
+
+void
+patternTileAvx2(const PatternTile& t)
+{
+    if (t.entries == 4)
+        patternTileAvx2Entries<4>(t);
+    else
+        patternTileAvx2Entries<0>(t);
+}
+
 }  // namespace
 
 const SimdOps&
@@ -305,7 +394,8 @@ avx2SimdOps()
                                 axpyAvx2, reluAvx2,
                                 kGemmMrAvx2, kGemmNrAvx2, gemmTileAvx2,
                                 kGemmI8MrAvx2, kGemmI8NrAvx2, gemmTileI8Avx2,
-                                quantizeRowI8Avx2};
+                                quantizeRowI8Avx2,
+                                kPatternLanesAvx2, patternTileAvx2};
     return ops;
 }
 

@@ -13,6 +13,7 @@
 
 #include <arm_neon.h>
 
+#include <algorithm>
 #include <cstring>
 
 namespace patdnn {
@@ -267,6 +268,91 @@ quantizeRowI8Neon(const float* x, int64_t n, float inv_scale, int8_t* out)
     }
 }
 
+// Pattern tile: up to four q-register accumulators (16 lanes) stay
+// live across the filter's whole kernel walk.
+constexpr int kPatternLanesNeon = 16;
+
+// Store `live` lanes of v starting at grid lane q: one vector store
+// when they are all valid pixels of one output row, else lane by lane,
+// dropping the lanes that fall in the pad columns (x >= ow).
+inline void
+storeLanesNeon(const PatternTile& t, float32x4_t v, int64_t q, int64_t live)
+{
+    int64_t x = q % t.wp;
+    float* row = t.out + q / t.wp * t.ow;
+    if (live == 4 && x + 4 <= t.ow) {
+        vst1q_f32(row + x, v);
+        return;
+    }
+    float lane[4];
+    vst1q_f32(lane, v);
+    for (int64_t i = 0; i < live; ++i) {
+        if (x < t.ow)
+            row[x] = lane[i];
+        if (++x == t.wp) {
+            x = 0;
+            row += t.ow;
+        }
+    }
+}
+
+// NE > 0 fixes the entry count at compile time (the common 4-entry
+// patterns unroll fully, taps held in registers); NE == 0 reads it.
+template <int NV, int NE>
+void
+patternTileNeonImpl(const PatternTile& t)
+{
+    float32x4_t acc[NV];
+    for (int v = 0; v < NV; ++v)
+        acc[v] = vdupq_n_f32(t.bias);
+    const int ne = NE > 0 ? NE : t.entries;
+    for (int p = 0; p < t.patterns; ++p) {
+        const int32_t* taps = t.taps + p * ne;
+        for (int32_t k = t.stride[p]; k < t.stride[p + 1]; ++k) {
+            const float* src = t.in + t.chan[k] + t.q0;
+            const float* wk = t.w + static_cast<int64_t>(k) * ne;
+            for (int e = 0; e < ne; ++e) {
+                const float* s = src + taps[e];
+                const float32x4_t wv = vdupq_n_f32(wk[e]);
+                for (int v = 0; v < NV; ++v)
+                    acc[v] = vaddq_f32(acc[v],
+                                       vmulq_f32(wv, vld1q_f32(s + 4 * v)));
+            }
+        }
+    }
+    if (t.relu) {
+        // Explicit select, as in reluNeon: NaN lanes become 0.
+        const float32x4_t zero = vdupq_n_f32(0.0f);
+        for (int v = 0; v < NV; ++v)
+            acc[v] = vbslq_f32(vcgtq_f32(acc[v], zero), acc[v], zero);
+    }
+    for (int v = 0; v < NV; ++v)
+        storeLanesNeon(t, acc[v], t.q0 + 4 * v,
+                       std::min<int64_t>(4, t.lanes - 4 * v));
+}
+
+template <int NE>
+void
+patternTileNeonEntries(const PatternTile& t)
+{
+    // Only as many vectors as the tile has lanes.
+    switch ((t.lanes + 3) / 4) {
+      case 1: patternTileNeonImpl<1, NE>(t); break;
+      case 2: patternTileNeonImpl<2, NE>(t); break;
+      case 3: patternTileNeonImpl<3, NE>(t); break;
+      default: patternTileNeonImpl<4, NE>(t); break;
+    }
+}
+
+void
+patternTileNeon(const PatternTile& t)
+{
+    if (t.entries == 4)
+        patternTileNeonEntries<4>(t);
+    else
+        patternTileNeonEntries<0>(t);
+}
+
 }  // namespace
 
 const SimdOps&
@@ -277,7 +363,8 @@ neonSimdOps()
                                 axpyNeon, reluNeon,
                                 kGemmMrNeon, kGemmNrNeon, gemmTileNeon,
                                 kGemmI8MrNeon, kGemmI8NrNeon, gemmTileI8Neon,
-                                quantizeRowI8Neon};
+                                quantizeRowI8Neon,
+                                kPatternLanesNeon, patternTileNeon};
     return ops;
 }
 

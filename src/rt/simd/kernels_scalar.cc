@@ -148,6 +148,44 @@ quantizeRowI8Scalar(const float* x, int64_t n, float inv_scale, int8_t* out)
     }
 }
 
+// Pattern tile footprint: eight lane accumulators, one vector's worth
+// on most targets; the tile width never changes a lane's chain.
+constexpr int kPatternLanesScalar = 8;
+
+void
+patternTileScalar(const PatternTile& t)
+{
+    const int64_t n = t.lanes;
+    float acc[kPatternLanesScalar];
+    for (int64_t i = 0; i < n; ++i)
+        acc[i] = t.bias;
+    for (int p = 0; p < t.patterns; ++p) {
+        const int32_t* taps = t.taps + p * t.entries;
+        for (int32_t k = t.stride[p]; k < t.stride[p + 1]; ++k) {
+            const float* src = t.in + t.chan[k] + t.q0;
+            const float* wk = t.w + static_cast<int64_t>(k) * t.entries;
+            for (int e = 0; e < t.entries; ++e) {
+                const float* s = src + taps[e];
+                const float wv = wk[e];
+                for (int64_t i = 0; i < n; ++i)
+                    acc[i] += wv * s[i];
+            }
+        }
+    }
+    // Lane q0 + i is output pixel (y, x) of the padded-width grid;
+    // lanes with x >= ow fall in the pad columns and are dropped.
+    int64_t x = t.q0 % t.wp;
+    float* row = t.out + t.q0 / t.wp * t.ow;
+    for (int64_t i = 0; i < n; ++i) {
+        if (x < t.ow)
+            row[x] = t.relu ? std::max(0.0f, acc[i]) : acc[i];
+        if (++x == t.wp) {
+            x = 0;
+            row += t.ow;
+        }
+    }
+}
+
 }  // namespace
 
 const SimdOps&
@@ -158,7 +196,8 @@ scalarSimdOps()
                                 axpyScalar, reluScalar,
                                 kGemmMrScalar, kGemmNrScalar, gemmTileScalar,
                                 kGemmI8MrScalar, kGemmI8NrScalar,
-                                gemmTileI8Scalar, quantizeRowI8Scalar};
+                                gemmTileI8Scalar, quantizeRowI8Scalar,
+                                kPatternLanesScalar, patternTileScalar};
     return ops;
 }
 

@@ -1,7 +1,11 @@
 /** @file End-to-end framework facade tests. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "rt/framework.h"
+#include "serve/artifact.h"
 
 namespace patdnn {
 namespace {
@@ -126,6 +130,39 @@ TEST(Framework, DepthwiseModelRunsEndToEnd)
     Tensor y = sparse.run(in);
     EXPECT_EQ(y.shape(), Shape({1, 10}));
 }
+
+// kPatDnn runs 3x3 convs on the pattern engine and every other
+// ungrouped conv (the 1x1s here) through CSR on the same pruned
+// weights, so whole-model outputs must match CSR-sparse, whose
+// surviving weights are identical — also after an artifact round-trip.
+class SparseZooAgreement : public ::testing::TestWithParam<const char*>
+{
+};
+
+TEST_P(SparseZooAgreement, PatDnnMatchesCsrSparse)
+{
+    Model m = buildByShortName(GetParam(), Dataset::kCifar10);
+    DeviceSpec dev = makeCpuDevice(4);
+    CompileOptions opts;
+    CompiledModel csr(m, FrameworkKind::kCsrSparse, dev, opts);
+    CompiledModel pat(m, FrameworkKind::kPatDnn, dev, opts);
+    Tensor in(Shape{1, 3, 32, 32});
+    Rng rng(6);
+    in.fillUniform(rng, 0.0f, 1.0f);
+    Tensor want = csr.run(in);
+    double ref = 0.0;
+    for (int64_t i = 0; i < want.numel(); ++i)
+        ref = std::max(ref, static_cast<double>(std::fabs(want[i])));
+    ASSERT_GT(ref, 0.0);
+    EXPECT_LE(Tensor::maxAbsDiff(pat.run(in), want), 1e-3 * ref);
+
+    auto loaded = deserializeModel(serializeModel(pat), dev);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    EXPECT_LE(Tensor::maxAbsDiff(loaded.value()->run(in), want), 1e-3 * ref);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cifar, SparseZooAgreement,
+                         ::testing::Values("MBNT", "RNT"));
 
 TEST(Framework, TimingReturnsPositiveMs)
 {

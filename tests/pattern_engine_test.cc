@@ -1,6 +1,12 @@
 /** @file Pattern engine internals: plans, bundles, LR rendering. */
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "nn/zoo.h"
 #include "prune/projections.h"
 #include "rt/conv_pattern.h"
 #include "sparse/fkw.h"
@@ -171,6 +177,174 @@ TEST(MicroKernels, MultiFilterMatchesRepeatedSingle)
     kernelAccumulateLre(pk, w1, in.data(), b1.data(), g, 4);
     EXPECT_LT(Tensor::maxAbsDiff(a0, b0), 1e-5);
     EXPECT_LT(Tensor::maxAbsDiff(a1, b1), 1e-5);
+}
+
+// ---------------------------------------------------------------------------
+// Output-stationary path vs the reference convolution
+// ---------------------------------------------------------------------------
+
+/** A pattern-pruned layer of geometry `d`, packed tight after FKR. */
+struct PackedLayer
+{
+    ConvDesc desc;
+    Tensor weight;  ///< Pruned dense OIHW, the reference's weights.
+    Tensor bias;
+    FkwLayer fkw;
+
+    PackedLayer(const ConvDesc& d, uint64_t seed) : desc(d)
+    {
+        Rng rng(seed);
+        weight = Tensor(Shape{d.cout, d.cin, 3, 3});
+        weight.fillNormal(rng);
+        bias = Tensor(Shape{d.cout});
+        bias.fillNormal(rng);
+        fkw = pruneAndPack(weight, canonicalPatternSet(8),
+                           std::max<int64_t>(1, d.cout * d.cin / 4));
+    }
+
+    PatternConv engine(const DeviceSpec& dev) const
+    {
+        LayerwiseRep lr;
+        lr.conv = desc;
+        return PatternConv(desc, &fkw, lr, dev);
+    }
+};
+
+Tensor
+randomInput(const ConvDesc& d, int64_t batch, uint64_t seed)
+{
+    Tensor in(Shape{batch, d.cin, d.h, d.w});
+    Rng rng(seed);
+    in.fillUniform(rng, -1.0f, 1.0f);
+    return in;
+}
+
+double
+maxAbs(const Tensor& t)
+{
+    double m = 0.0;
+    for (int64_t i = 0; i < t.numel(); ++i)
+        m = std::max(m, static_cast<double>(std::fabs(t[i])));
+    return m;
+}
+
+/** Direct path vs convReference, with bias and fused ReLU or not. */
+void
+expectMatchesReference(const ConvDesc& d, int64_t batch, uint64_t seed)
+{
+    PackedLayer layer(d, seed);
+    PatternConv engine = layer.engine(makeCpuDevice(4));
+    const std::string label = d.name + " " + std::to_string(d.cin) + "x" +
+                              std::to_string(d.h) + "x" + std::to_string(d.w) +
+                              " batch=" + std::to_string(batch);
+    ASSERT_TRUE(engine.usesDirectPath()) << label;
+    Tensor in = randomInput(d, batch, seed + 1);
+    Epilogue ep;
+    ep.bias = &layer.bias;
+    Tensor linear = makeConvOutput(d, batch);
+    convReference(d, layer.weight, in, linear, ep);
+    for (bool relu : {false, true}) {
+        ep.relu = relu;
+        Tensor want = linear;
+        if (relu)
+            for (int64_t i = 0; i < want.numel(); ++i)
+                want[i] = std::max(0.0f, want[i]);
+        // Poison the output: the direct path must write every element.
+        Tensor got = makeConvOutput(d, batch);
+        got.fill(std::nanf(""));
+        engine.run(in, got, ep);
+        int64_t unwritten = 0;
+        for (int64_t i = 0; i < got.numel(); ++i)
+            unwritten += std::isnan(got[i]) ? 1 : 0;
+        EXPECT_EQ(unwritten, 0) << label << " relu=" << relu;
+        EXPECT_LE(Tensor::maxAbsDiff(got, want), 1e-5 * (1.0 + maxAbs(want)))
+            << label << " relu=" << relu;
+    }
+}
+
+TEST(PatternDirect, MatchesReferenceOnEveryVggCifarGeometry)
+{
+    Model vgg = buildByShortName("VGG", Dataset::kCifar10);
+    int checked = 0;
+    for (const Layer& l : vgg.layers()) {
+        if (l.kind != OpKind::kConv || l.conv.stride != 1)
+            continue;
+        expectMatchesReference(l.conv, 1, 100 + static_cast<uint64_t>(checked));
+        ++checked;
+    }
+    // conv1_1 (32x32x3) down to conv5_3 (2x2x512).
+    EXPECT_EQ(checked, 13);
+}
+
+TEST(PatternDirect, MatchesReferenceOnOddGeometries)
+{
+    const ConvDesc shapes[] = {
+        {"nonsquare", 5, 6, 3, 3, 7, 13, 1, 1, 1, 1},
+        {"tall", 4, 3, 3, 3, 19, 3, 1, 1, 1, 1},
+        {"w_not_x8", 6, 5, 3, 3, 9, 11, 1, 1, 1, 1},
+        {"pad0", 6, 7, 3, 3, 10, 12, 1, 0, 1, 1},
+        {"pad2", 6, 7, 3, 3, 6, 9, 1, 2, 1, 1},
+        {"one_pixel", 8, 4, 3, 3, 1, 1, 1, 1, 1, 1},
+    };
+    uint64_t seed = 200;
+    for (const ConvDesc& d : shapes)
+        expectMatchesReference(d, 1, seed++);
+}
+
+TEST(PatternDirect, MatchesReferenceAtBatchThree)
+{
+    expectMatchesReference({"b3", 7, 9, 3, 3, 10, 13, 1, 1, 1, 1}, 3, 300);
+}
+
+TEST(PatternDirect, IdenticalAcrossIsasAndThreadCounts)
+{
+    // The whole conv is bit-identical for every ISA table and for 1 vs
+    // 4 pool threads: each lane's chain is fixed by the FKW order, not
+    // by the lane tile or the thread split.
+    for (const ConvDesc& d :
+         {ConvDesc{"mid", 16, 24, 3, 3, 14, 11, 1, 1, 1, 1},
+          ConvDesc{"deep", 64, 32, 3, 3, 2, 2, 1, 1, 1, 1}}) {
+        PackedLayer layer(d, 400);
+        Tensor in = randomInput(d, 2, 401);
+        Epilogue ep;
+        ep.bias = &layer.bias;
+        ep.relu = true;
+        DeviceSpec ref_dev = makeFixedWidthCpuDevice(1);
+        ref_dev.simd_isa = SimdIsa::kScalar;
+        Tensor want = makeConvOutput(d, 2);
+        layer.engine(ref_dev).run(in, want, ep);
+        for (SimdIsa isa : availableSimdIsas()) {
+            for (int threads : {1, 4}) {
+                DeviceSpec dev = makeFixedWidthCpuDevice(threads);
+                dev.simd_isa = isa;
+                PatternConv engine = layer.engine(dev);
+                ASSERT_TRUE(engine.usesDirectPath());
+                Tensor got = makeConvOutput(d, 2);
+                engine.run(in, got, ep);
+                EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                      static_cast<size_t>(got.numel()) *
+                                          sizeof(float)),
+                          0)
+                    << d.name << " " << isaName(isa) << " threads=" << threads;
+            }
+        }
+    }
+}
+
+TEST(PatternDirect, AblationLevelsAndStridesKeepTheMicroKernelPath)
+{
+    PackedLayer layer({"abl", 8, 8, 3, 3, 9, 9, 1, 1, 1, 1}, 500);
+    LayerwiseRep lr;
+    lr.conv = layer.desc;
+    lr.opts.lre = false;
+    EXPECT_FALSE(
+        PatternConv(layer.desc, &layer.fkw, lr, makeCpuDevice(2)).usesDirectPath());
+    ConvDesc strided = layer.desc;
+    strided.stride = 2;
+    LayerwiseRep lr2;
+    lr2.conv = strided;
+    EXPECT_FALSE(
+        PatternConv(strided, &layer.fkw, lr2, makeCpuDevice(2)).usesDirectPath());
 }
 
 TEST(LayerwiseRepStr, RendersFig8Fields)

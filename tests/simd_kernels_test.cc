@@ -7,9 +7,11 @@
  * below one vector — plus dispatch-layer behaviour when each ISA level
  * is forced.
  */
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -478,6 +480,129 @@ TEST(SimdKernels, KernelAccumulateLreMatchesScalarAcrossGeometries)
                                               << " pad=" << pad << " w="
                                               << in_w << " h=" << in_h
                                               << " unroll=" << unroll);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, PatternTileMatchesScalarAndNeverStoresJunkLanes)
+{
+    // A 9x7 padded plane (wp = 7) under 5-wide output rows: lanes x = 5
+    // and 6 of every row are junk. Each call runs one tile onto a
+    // sentinel-filled output (with guard zones on both sides), so a
+    // junk lane stored anywhere would show as an overwritten sentinel.
+    const int64_t wp = 7, hp = 9, ow = 5, oh = 7, chans = 5;
+    const int64_t plane = hp * wp;
+    const int64_t grid = (oh - 1) * wp + ow;
+    const int64_t guard = 16;
+    const float sentinel = -7777.0f;
+    const int npat = 3;
+    Rng rng(31);
+    const SimdOps& ref = scalarSimdOps();
+    for (int entries = 1; entries <= 9; ++entries) {
+        for (int64_t kernels : {0, 1, 5, 40}) {
+            std::vector<int32_t> taps(static_cast<size_t>(npat * entries));
+            for (auto& t : taps)
+                t = static_cast<int32_t>(rng.uniformInt(0, 2) * wp +
+                                         rng.uniformInt(0, 2));
+            // FKW stride row with an empty middle pattern run.
+            const int32_t half = static_cast<int32_t>(kernels / 2);
+            std::vector<int32_t> stride = {0, half, half,
+                                           static_cast<int32_t>(kernels)};
+            std::vector<int32_t> chan(static_cast<size_t>(kernels));
+            for (auto& c : chan)
+                c = static_cast<int32_t>(rng.uniformInt(0, chans - 1) * plane);
+            std::vector<float> w =
+                randomVec(rng, static_cast<size_t>(kernels * entries));
+            // Slack past the last plane for whole-vector junk loads.
+            std::vector<float> in =
+                randomVec(rng, static_cast<size_t>(chans * plane + 64));
+            for (bool relu : {false, true}) {
+                PatternTile t;
+                t.in = in.data();
+                t.w = w.data();
+                t.chan = chan.data();
+                t.stride = stride.data();
+                t.taps = taps.data();
+                t.patterns = npat;
+                t.entries = entries;
+                t.bias = rng.normal();
+                t.relu = relu;
+                t.wp = wp;
+                t.ow = ow;
+                // The documented per-lane chain, in the test's own code.
+                auto chain = [&](int64_t q) {
+                    float acc = t.bias;
+                    for (int p = 0; p < npat; ++p)
+                        for (int32_t k = stride[static_cast<size_t>(p)];
+                             k < stride[static_cast<size_t>(p) + 1]; ++k)
+                            for (int e = 0; e < entries; ++e)
+                                acc += w[static_cast<size_t>(k * entries + e)] *
+                                       in[static_cast<size_t>(
+                                           chan[static_cast<size_t>(k)] + q +
+                                           taps[static_cast<size_t>(
+                                               p * entries + e)])];
+                    return relu ? std::max(0.0f, acc) : acc;
+                };
+                for (const SimdOps* ops : allTables()) {
+                    const int64_t full = ops->pattern_lanes;
+                    for (int64_t lanes : {int64_t{1}, int64_t{3},
+                                          int64_t{ops->width}, full - 1, full}) {
+                        if (lanes < 1)
+                            continue;
+                        for (int64_t q0 = 0; q0 < grid; q0 += lanes) {
+                            const int64_t live = std::min(lanes, grid - q0);
+                            std::vector<float> got(
+                                static_cast<size_t>(oh * ow + 2 * guard),
+                                sentinel);
+                            std::vector<float> want = got;
+                            t.q0 = q0;
+                            t.lanes = live;
+                            t.out = got.data() + guard;
+                            ops->pattern_tile(t);
+                            // The scalar table, at its own (smaller)
+                            // footprint, over the same lanes.
+                            t.out = want.data() + guard;
+                            for (int64_t s = q0; s < q0 + live;
+                                 s += ref.pattern_lanes) {
+                                t.q0 = s;
+                                t.lanes = std::min<int64_t>(ref.pattern_lanes,
+                                                            q0 + live - s);
+                                ref.pattern_tile(t);
+                            }
+                            std::string label =
+                                std::string(ops->name) + " entries=" +
+                                std::to_string(entries) + " kernels=" +
+                                std::to_string(kernels) + " relu=" +
+                                std::to_string(relu) + " lanes=" +
+                                std::to_string(lanes) + " q0=" +
+                                std::to_string(q0);
+                            EXPECT_BITWISE_EQ(got.data(), want.data(),
+                                              got.size(), label);
+                            for (int64_t y = 0; y < oh; ++y)
+                                for (int64_t x = 0; x < ow; ++x) {
+                                    const int64_t q = y * wp + x;
+                                    const float v = got[static_cast<size_t>(
+                                        guard + y * ow + x)];
+                                    if (q >= q0 && q < q0 + live)
+                                        EXPECT_NEAR(v, chain(q),
+                                                    1e-4f * (1.0f + std::fabs(v)))
+                                            << label << " y=" << y << " x=" << x;
+                                    else
+                                        EXPECT_EQ(v, sentinel)
+                                            << label << " y=" << y << " x=" << x;
+                                }
+                            for (int64_t i = 0; i < guard; ++i) {
+                                EXPECT_EQ(got[static_cast<size_t>(i)], sentinel)
+                                    << label;
+                                EXPECT_EQ(got[got.size() - 1 -
+                                              static_cast<size_t>(i)],
+                                          sentinel)
+                                    << label;
                             }
                         }
                     }
